@@ -161,14 +161,23 @@ class LSPServer:
         theta0: float | None,
         codec: AnswerCodec,
     ) -> list[list[int]]:
-        """Lines 2-6 of Algorithm 2: one encoded answer column per candidate."""
+        """Lines 2-6 of Algorithm 2: one encoded answer column per candidate.
+
+        Engines with ``query_many`` answer every candidate's kGNN in one
+        batch; sanitation and encoding then run per candidate, in order,
+        so the sanitizer's random stream is the per-candidate loop's.
+        """
         sanitizer = self._sanitizer(theta0) if theta0 is not None else None
+        candidates = list(candidates)
+        query_many = getattr(self.engine, "query_many", None)
+        if query_many is not None:
+            answers = query_many(k, candidates)
+        else:
+            answers = [self.engine.query(k, candidate) for candidate in candidates]
         columns: list[list[int]] = []
         lengths: list[int] = []
-        count = 0
-        for candidate in candidates:
-            count += 1
-            pois = self.engine.query(k, candidate)
+        count = len(candidates)
+        for candidate, pois in zip(candidates, answers, strict=True):
             if sanitizer is not None:
                 pois = list(sanitizer.sanitize(pois, candidate).prefix)
             lengths.append(len(pois))

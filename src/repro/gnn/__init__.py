@@ -7,6 +7,8 @@ retrieve the k POIs minimizing ``F(dis(p, l_1), ..., dis(p, l_n))``.
 - :mod:`~repro.gnn.aggregate` — the sum / max / min aggregates (Eqn 1),
 - :mod:`~repro.gnn.mbm` — the Minimum Bounding Method of Papadias et al.
   [24], the plaintext kGNN algorithm the paper's LSP runs,
+- :mod:`~repro.gnn.batch` — the batched kernel that answers a whole round
+  of candidate queries with MBM's exact answers,
 - :mod:`~repro.gnn.knn` — classic best-first kNN (the n = 1 special case),
 - :mod:`~repro.gnn.bruteforce` — the O(D log D) oracle for testing,
 - :mod:`~repro.gnn.engine` — the black-box ``GNNQueryEngine`` the protocols
@@ -15,6 +17,7 @@ retrieve the k POIs minimizing ``F(dis(p, l_1), ..., dis(p, l_n))``.
 """
 
 from repro.gnn.aggregate import Aggregate, MAX, MIN, SUM, get_aggregate
+from repro.gnn.batch import batch_kgnn
 from repro.gnn.bruteforce import brute_force_kgnn
 from repro.gnn.engine import GNNQueryEngine
 from repro.gnn.knn import best_first_knn, incremental_nearest
@@ -31,6 +34,7 @@ __all__ = [
     "best_first_knn",
     "incremental_nearest",
     "mbm_kgnn",
+    "batch_kgnn",
     "spm_kgnn",
     "mqm_kgnn",
     "brute_force_kgnn",

@@ -16,11 +16,12 @@ locations are tested at once).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.geometry.point import Point
 
 
 @dataclass(frozen=True)
@@ -111,3 +112,24 @@ def get_aggregate(name: str) -> Aggregate:
         raise ConfigurationError(
             f"unknown aggregate {name!r}; known: {sorted(_REGISTRY)}"
         ) from None
+
+
+def rank_top_k(
+    entries: Iterable[tuple[Any, Point, Any]],
+    locations: Sequence[Point],
+    k: int,
+    aggregate: Aggregate,
+) -> list[tuple[float, tuple[float, float], Any, Point, Any]]:
+    """The exact kGNN ordering contract, in one place.
+
+    Scores each ``(tiebreak, point, item)`` entry with the scalar
+    ``F(dis(p, l_1), ..., dis(p, l_n))`` and returns the ``k`` smallest
+    ``(score, (x, y), tiebreak, point, item)`` tuples: ascending score,
+    then location, then the caller's tiebreak, which must be unique so the
+    point and item themselves are never compared.
+    """
+    ranked = sorted(
+        (aggregate(p.distance_to(q) for q in locations), (p.x, p.y), tiebreak, p, item)
+        for tiebreak, p, item in entries
+    )
+    return ranked[:k]

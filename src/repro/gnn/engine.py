@@ -29,7 +29,8 @@ from repro.errors import ConfigurationError
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.geometry.space import LocationSpace
-from repro.gnn.aggregate import Aggregate, SUM
+from repro.gnn.aggregate import Aggregate, SUM, rank_top_k
+from repro.gnn.batch import batch_kgnn
 from repro.gnn.mbm import mbm_kgnn
 from repro.gnn.mqm import mqm_kgnn
 from repro.gnn.spm import spm_kgnn
@@ -175,11 +176,13 @@ class GNNQueryEngine:
 
     def _exact_topk(self, k: int, locations: Sequence[Point]) -> list[int]:
         """Exhaustive reference answer (poi ids) for recall calibration."""
-        ranked = sorted(
-            (self.aggregate(p.distance_to(q) for q in locations), (p.x, p.y), item.poi_id)
-            for p, item in self.tree.entries()
+        ranked = rank_top_k(
+            ((item.poi_id, p, item) for p, item in self.tree.entries()),
+            locations,
+            k,
+            self.aggregate,
         )
-        return [pid for _, _, pid in ranked[:k]]
+        return [pid for _, _, pid, _, _ in ranked]
 
     def _calibrate_recall(self) -> PartialAnswerQuality:
         """Measure the candidate path's recall@k on a seeded probe workload.
@@ -229,11 +232,13 @@ class GNNQueryEngine:
             for p, item in self.tree.candidate_entries(q):
                 cands.setdefault(item.poi_id, (p, item))
         self.index_counters.candidates_scored += len(cands)
-        ranked = sorted(
-            (self.aggregate(p.distance_to(q) for q in locations), (p.x, p.y), pid, p, item)
-            for pid, (p, item) in cands.items()
+        ranked = rank_top_k(
+            ((pid, p, item) for pid, (p, item) in cands.items()),
+            locations,
+            k,
+            self.aggregate,
         )
-        return [(p, item, score) for score, _, _, p, item in ranked[:k]]
+        return [(p, item, score) for score, _, _, p, item in ranked]
 
     def _run_kgnn(
         self, k: int, locations: Sequence[Point]
@@ -285,21 +290,69 @@ class GNNQueryEngine:
         cache = self.knn_cache
         if cache is None:
             return [poi for _, poi, _ in self._run_kgnn(k, locations)]
-        from repro.serve.cache import knn_cache_key
-
-        key = knn_cache_key(
-            self.tree.version,
-            self.algorithm,
-            self.aggregate.name,
-            k,
-            locations,
-        )
+        key = self._cache_key(k, locations)
         hit = cache.lookup(key)
         if hit is not None:
             return list(hit)
         result = [poi for _, poi, _ in self._run_kgnn(k, locations)]
         cache.store(key, tuple(result))
         return result
+
+    def query_many(
+        self, k: int, candidates: Sequence[Sequence[Point]]
+    ) -> list[list[POI]]:
+        """``[self.query(k, c) for c in candidates]``, answered as one batch.
+
+        The exact MBM engine runs every cache miss through
+        :func:`~repro.gnn.batch.batch_kgnn`, which shares per-location
+        work across the batch; answers are identical to :meth:`query`.
+        With a cache installed, the lookups and stores happen in candidate
+        order exactly as the per-candidate loop makes them, so hit, miss
+        and eviction counts do not move either.  Approximate kinds and the
+        SPM/MQM algorithms keep the per-candidate loop.
+        """
+        candidates = list(candidates)
+        if self.is_approximate or self.algorithm != "mbm":
+            return [self.query(k, locations) for locations in candidates]
+        k = min(k, len(self.tree))
+        cache = self.knn_cache
+        if cache is None:
+            self.index_counters.queries += len(candidates)
+            return self._batch(k, candidates)
+        keys = [self._cache_key(k, locations) for locations in candidates]
+        misses = {}
+        for key, locations in zip(keys, candidates, strict=True):
+            if key not in cache:
+                misses.setdefault(key, locations)
+        computed = dict(zip(misses, self._batch(k, list(misses.values())), strict=True))
+        answers = []
+        for key, locations in zip(keys, candidates, strict=True):
+            hit = cache.lookup(key)
+            if hit is not None:
+                answers.append(list(hit))
+                continue
+            self.index_counters.queries += 1
+            # A key evicted by this batch's own stores misses again and is
+            # recomputed, as the per-candidate loop would.
+            result = computed.pop(key, None)
+            if result is None:
+                result = self._batch(k, [locations])[0]
+            cache.store(key, tuple(result))
+            answers.append(result)
+        return answers
+
+    def _batch(self, k: int, candidates: list) -> list[list[POI]]:
+        results = batch_kgnn(
+            self.tree, candidates, k, self.aggregate, self.index_counters
+        )
+        return [[poi for _, poi, _ in ranked] for ranked in results]
+
+    def _cache_key(self, k: int, locations: Sequence[Point]) -> tuple:
+        from repro.serve.cache import knn_cache_key
+
+        return knn_cache_key(
+            self.tree.version, self.algorithm, self.aggregate.name, k, locations
+        )
 
     def query_scored(
         self, k: int, locations: Sequence[Point]

@@ -9,10 +9,10 @@ exact.  This is the plaintext kGNN black box run per candidate query by the
 LSP (Algorithm 2 line 3).
 
 Like :mod:`repro.gnn.knn` the search is index-agnostic: it walks whatever
-hierarchy :meth:`~repro.index.base.SpatialIndex.traversal_roots` exposes,
-and falls back to scoring every entry exhaustively for flat indexes —
-identical answers, different work, both metered through the optional
-:class:`~repro.index.base.IndexCounters`.
+hierarchy :meth:`~repro.index.base.SpatialIndex.traversal_roots` exposes.
+A flat index goes through :func:`~repro.gnn.batch.batch_kgnn` as a single
+bucket, which scores every entry — identical answers, different work, both
+metered through the optional :class:`~repro.index.base.IndexCounters`.
 """
 
 from __future__ import annotations
@@ -25,24 +25,8 @@ from repro.errors import ConfigurationError
 from repro.geometry.distance import mindist_point_rect
 from repro.geometry.point import Point
 from repro.gnn.aggregate import Aggregate
+from repro.gnn.batch import batch_kgnn
 from repro.index.base import IndexCounters, SpatialIndex
-
-
-def _fallback_kgnn(
-    tree: SpatialIndex,
-    locations: Sequence[Point],
-    k: int,
-    aggregate: Aggregate,
-    counters: IndexCounters | None,
-) -> list[tuple[Point, Any, float]]:
-    """Score every entry; same ordering contract as the best-first walk."""
-    ranked = sorted(
-        (aggregate(p.distance_to(q) for q in locations), (p.x, p.y), i, p, item)
-        for i, (p, item) in enumerate(tree.entries())
-    )
-    if counters is not None:
-        counters.candidates_scored += len(ranked)
-    return [(p, item, score) for score, _, _, p, item in ranked[:k]]
 
 
 def mbm_kgnn(
@@ -64,7 +48,7 @@ def mbm_kgnn(
         raise ConfigurationError("kGNN query needs at least one location")
     roots = tree.traversal_roots()
     if roots is None:
-        return _fallback_kgnn(tree, locations, k, aggregate, counters)
+        return batch_kgnn(tree, [locations], k, aggregate, counters)[0]
     seq = count()
     heap: list[tuple[float, tuple[float, float], int, bool, Any]] = []
     for root in roots:

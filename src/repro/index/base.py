@@ -19,7 +19,8 @@ class IndexCounters:
     aggregate score) was computed — the honest measure of per-query
     candidate work, and the counter the index-scale perf baseline gates.
     ``nodes_visited`` counts tree nodes expanded by hierarchical searches
-    (always 0 for flat indexes).
+    (always 0 for flat indexes); the batched kernel of
+    :mod:`repro.gnn.batch` expands no inner nodes and counts scored leaves.
     """
 
     queries: int = 0

@@ -11,7 +11,7 @@ from typing import Any, Iterator
 
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
-from repro.index.base import SpatialIndex, validate_location
+from repro.index.base import SpatialIndex, validate_entries, validate_location
 
 
 class BruteForceIndex(SpatialIndex):
@@ -25,6 +25,12 @@ class BruteForceIndex(SpatialIndex):
         validate_location(location)
         self.version += 1
         self._entries.append((location, item))
+
+    def bulk_load(self, items) -> None:
+        """Replace the contents, as every other index's bulk load does."""
+        entries = validate_entries(items)
+        self.version += 1
+        self._entries = entries
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -68,6 +68,10 @@ class KnnLRUCache:
     def __len__(self) -> int:
         return len(self._entries)
 
+    def __contains__(self, key: Hashable) -> bool:
+        """Presence test that leaves the counters and the LRU order alone."""
+        return key in self._entries
+
     def lookup(self, key: Hashable) -> Any | None:
         """The cached value, refreshed to most-recent, or None on a miss.
 

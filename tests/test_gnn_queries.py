@@ -145,6 +145,18 @@ class TestEngine:
         assert engine.query(1, [q])[0].poi_id != 7
         assert not engine.delete(pois[7])
 
+    @pytest.mark.parametrize("kind", ["rtree", "kdtree", "grid", "bruteforce"])
+    def test_delete_removes_exactly_one_entry(self, kind):
+        """Kinds without an in-place delete re-bulk-load the survivors;
+        that load must replace the contents, not append to them."""
+        pois = uniform_pois(50, seed=4)
+        engine = GNNQueryEngine(pois, index=kind)
+        assert engine.delete(pois[7])
+        assert len(engine) == 49
+        assert sorted(item.poi_id for _, item in engine.tree.entries()) == [
+            p.poi_id for p in pois if p.poi_id != 7
+        ]
+
     def test_insert_duplicate_id_rejected(self):
         pois = uniform_pois(10, seed=5)
         engine = GNNQueryEngine(pois)
