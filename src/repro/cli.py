@@ -819,6 +819,7 @@ def _perf_metrics(
         "ops.additions": counters.get("crypto.additions", 0),
         "ops.kgnn_queries": counters.get("lsp.kgnn_queries", 0),
         "ops.modmuls_estimated": modmuls["total"],
+        "ops.modmul_work64_estimated": modmuls["work64"],
         "protocol.rounds": rounds,
         "comm.bytes_total": result.report.total_comm_bytes,
         "answers.count": len(result.answers),
@@ -834,8 +835,9 @@ def _crypto_micro_metrics(args: argparse.Namespace) -> dict[str, float]:
     """The Paillier hot-path micro-suite at one keysize.
 
     Runs a pinned mix of encryptions, pooled encryptions, rerandomizations,
-    a homomorphic dot product, pool refills (windowed and CRT-split), and
-    both decryption paths through profiled keys under the ambient fast-path
+    a homomorphic dot product, pool refills (windowed and key-owner),
+    key-owner encryptions at s=1 and s=2, and both decryption paths
+    through profiled keys under the ambient fast-path
     setting (``REPRO_FASTEXP``); then replays the identical mix with the
     *opposite* setting and insists every produced ciphertext value matches
     — the digest the sentinel freezes is therefore provably independent of
@@ -844,8 +846,8 @@ def _crypto_micro_metrics(args: argparse.Namespace) -> dict[str, float]:
     (zero-tolerance, lower is better), so any accidental cost regression
     in the crypto hot path fails the gate — and recording with
     ``REPRO_FASTEXP=0`` then checking with the default demonstrates the
-    fast paths strictly lowering them.  CRT-split refills halve the
-    *width* of each multiplication rather than the count, so they gate on
+    fast paths strictly lowering them.  Key-owner refills and encryptions
+    run more multiplications at a fraction of the width, so they gate on
     limb-weighted work (``mul_work64``) instead of raw muls.
     """
     import hashlib
@@ -861,15 +863,15 @@ def _crypto_micro_metrics(args: argparse.Namespace) -> dict[str, float]:
         encrypt_with_pool,
     )
     from repro.crypto.paillier import generate_keypair
-    from repro.obs.profile import profile_keypair
+    from repro.obs.profile import owner_nonce_cost, profile_keypair
 
     packed_fields = [3, 1, 4, 1, 5, 9, 2, 6]
+    owner_levels = [1, 1, 1, 1, 2, 2]
 
     def run(fast: bool):
         with fastexp.forced(fast):
-            keys, profiler = profile_keypair(
-                generate_keypair(args.keysize, seed=args.seed)
-            )
+            base = generate_keypair(args.keysize, seed=args.seed)
+            keys, profiler = profile_keypair(base)
             pk, sk = keys.public_key, keys.secret_key
             rng = random.Random(args.seed * 7919 + args.keysize)
             values: list[int] = []
@@ -907,38 +909,55 @@ def _crypto_micro_metrics(args: argparse.Namespace) -> dict[str, float]:
             if [sk.decrypt(c) for c in rerandomized] != [0, 1, 2, 3]:
                 raise ReproError("rerandomized ciphertexts decrypted wrongly")
 
+            # Key-owner encryptions at both protocol levels, on their own
+            # rng stream (the values above keep their digest); each must
+            # equal the public-key encryption under a twin stream.
+            owner_rng = random.Random(args.seed + 3)
+            owned = [
+                sk.encrypt(m % 2, s=level, rng=owner_rng)
+                for m, level in enumerate(owner_levels)
+            ]
+            twin_rng = random.Random(args.seed + 3)
+            twins = [
+                base.public_key.encrypt(m % 2, s=level, rng=twin_rng)
+                for m, level in enumerate(owner_levels)
+            ]
+            owner_values = [c.value for c in owned]
+            if owner_values != [c.value for c in twins]:
+                raise ReproError("key-owner encryption differs from the public key's")
+
+            # Refill work at the width each multiply actually ran.
+            (_, chain_work), (_, table_work) = owner_nonce_cost(sk, 1)
             return (
                 values,
+                owner_values,
                 profiler,
                 dot_ledger.muls,
                 pool.stats.fast_muls,
-                owner_pool.stats.fast_muls,
+                round(4 * (chain_work + table_work)),
             )
+
+    def digest_mod(values: list[int]) -> int:
+        digest = hashlib.sha256(
+            b"".join(v.to_bytes((v.bit_length() + 7) // 8 or 1, "big") for v in values)
+        ).digest()
+        return int.from_bytes(digest[:6], "big")
 
     ambient = fastexp.enabled()
     started = time_module.perf_counter()
-    values, profiler, dot_muls, windowed_muls, crt_muls = run(ambient)
+    values, owner_values, profiler, dot_muls, windowed_muls, crt_work = run(ambient)
     suite_seconds = time_module.perf_counter() - started
-    other_values, *_ = run(not ambient)
-    if values != other_values:
+    other_values, other_owner_values, *_ = run(not ambient)
+    if values != other_values or owner_values != other_owner_values:
         raise ReproError(
             "fast exponentiation paths changed ciphertext values — the "
             "crypto micro-suite refuses to record a tainted baseline"
         )
-
-    digest = hashlib.sha256(
-        b"".join(v.to_bytes((v.bit_length() + 7) // 8 or 1, "big") for v in values)
-    ).digest()
     ledger = profiler.to_dict()
 
     def muls(op_class: str) -> int:
         return ledger.get(op_class, {}).get("bigint_muls", 0)
 
-    # The CRT refill ran at half width (modulus p^2 / q^2 of ~keysize
-    # bits) when fast, full width (~2*keysize) otherwise; weight by the
-    # squared 64-bit limb count so the two are commensurable.
-    crt_width = args.keysize if ambient else 2 * args.keysize
-    crt_work = round(crt_muls * (crt_width / 64.0) ** 2)
     metrics = {
         "ops.encrypt.bigint_muls": muls("encrypt") + muls("encrypt.tables"),
         "ops.encrypt_pool.bigint_muls": muls("encrypt.pooled"),
@@ -953,8 +972,19 @@ def _crypto_micro_metrics(args: argparse.Namespace) -> dict[str, float]:
         "ops.decrypt_generic.bigint_muls": muls("decrypt.generic"),
     }
     metrics["ops.total.bigint_muls"] = sum(metrics.values())
+    # Key-owner work runs about twice the multiplications of one
+    # full-width chain, at prime and p^{s+1} width, so it gates on
+    # limb-weighted work only; raw counts would rise with the fast paths.
     metrics["ops.refill_crt.mul_work64"] = crt_work
-    metrics["answers.digest_mod"] = int.from_bytes(digest[:6], "big")
+    metrics["ops.encrypt_owner.mul_work64"] = round(
+        sum(
+            profiler.ops[name].mul_work
+            for name in ("encrypt.owner", "encrypt.owner.tables")
+            if name in profiler.ops
+        )
+    )
+    metrics["answers.digest_mod"] = digest_mod(values)
+    metrics["answers.owner_digest_mod"] = digest_mod(owner_values)
     metrics["time.suite_seconds"] = round(suite_seconds, 6)
     return metrics
 

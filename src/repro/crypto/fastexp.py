@@ -12,10 +12,10 @@ modular exponentiation, and each shape admits a classical speedup:
   ``prod c_i^{x_i} mod N^{s+1}``: :func:`multi_pow` interleaves the
   per-term windows over one shared squaring chain (Straus/Shamir), paying
   ``max_i bits(x_i)`` squarings total instead of per term.
-- **Known factorization** — any exponentiation the secret-key holder runs
-  in the ciphertext group: :class:`CrtPow` splits it into two half-width
-  chains modulo ``p^{s+1}`` / ``q^{s+1}`` with per-prime order-reduced
-  exponents, recombined by Garner.
+- **Known factorization** — the key owner's nonce exponentiation:
+  :class:`LiftedNonce` reduces ``r`` modulo each prime, runs a
+  single-width chain there, lifts the result to ``p^{s+1}`` / ``q^{s+1}``
+  with the ``p^s`` / ``q^s`` exponent, and recombines by Garner.
 
 Every kernel is *value-identical* to the builtin ``pow`` it replaces and
 never consumes randomness, so ciphertexts, answers, and digests are byte
@@ -330,60 +330,59 @@ def multi_pow(
     return acc
 
 
-class CrtPow:
-    """Half-width exponentiation for whoever knows ``N = p * q``.
+class LiftedNonce:
+    """Key-owner nonce exponentiation ``r^{N^s} mod N^{s+1}`` at half width.
 
-    ``base^e mod N^{s+1}`` splits into chains modulo ``p^{s+1}`` and
-    ``q^{s+1}`` whose exponents are reduced by the per-prime group orders
-    ``p^s (p - 1)`` / ``q^s (q - 1)`` (valid for *unit* bases — Paillier
-    nonces and honest ciphertext values are units), recombined by Garner.
-    Each multiplication runs on half-width limbs, so the weighted work
-    roughly halves even where the raw count does not; the ledger reports
-    the honest raw count.
+    Rests on a p-adic lifting identity: for ``x == y (mod p)``,
+    ``x^{p^s} == y^{p^s} (mod p^{s+1})``.  Since
+    ``r^{N^s} = (r^{q^s})^{p^s}``, its residue modulo ``p^{s+1}`` is
+    ``x^{p^s}`` for *any* ``x == r^{q^s} (mod p)`` — in particular the
+    single-width ``x = (r mod p)^{q^s mod (p-1)} mod p`` (Fermat).  The
+    ``q`` side is symmetric and Garner recombines the two.  Both chains
+    together run ``s * |p|``-bit lifting exponents instead of the
+    ``(s+1) * |p|``-bit order-reduced exponents a generic CRT split needs.
+
+    The reduce exponent is taken in ``[1, p-1]`` rather than ``[0, p-2]``
+    so a base divisible by ``p`` still maps to 0: the result equals
+    builtin ``pow(r, N^s, N^{s+1})`` for every ``r``, units or not.  All
+    four exponents are fixed per (key, level), so each runs a cached
+    :class:`WindowPlan` and the per-call cost is exact.
     """
 
-    def __init__(self, p: int, q: int) -> None:
+    #: Multiplications of the Garner recombination (at ``p^{s+1}`` width).
+    GARNER_MULS = 2
+
+    __slots__ = ("moduli", "reduce_plans", "lift_plans", "_q_inv")
+
+    def __init__(self, p: int, q: int, s: int = 1) -> None:
         if p == q:
             raise CryptoError("CRT exponentiation needs distinct primes")
-        self.p = p
-        self.q = q
-        self._params: dict[int, tuple[int, int, int, int, int]] = {}
+        if s < 1:
+            raise CryptoError("nonce level s must be >= 1")
+        ps, qs = p**s, q**s
+        #: (p, q, p^{s+1}, q^{s+1}).
+        self.moduli = (p, q, ps * p, qs * q)
+        self.reduce_plans = (
+            plan((qs - 1) % (p - 1) + 1),
+            plan((ps - 1) % (q - 1) + 1),
+        )
+        self.lift_plans = (plan(ps), plan(qs))
+        self._q_inv = invmod(qs * q, ps * p)
 
-    def _level(self, s: int) -> tuple[int, int, int, int, int]:
-        params = self._params.get(s)
-        if params is None:
-            ps1, qs1 = self.p ** (s + 1), self.q ** (s + 1)
-            order_p = self.p**s * (self.p - 1)
-            order_q = self.q**s * (self.q - 1)
-            params = (ps1, qs1, order_p, order_q, invmod(qs1, ps1))
-            self._params[s] = params
-        return params
+    @property
+    def per_call_muls(self) -> int:
+        """Exact multiplications of one :meth:`powmod` call (Garner included)."""
+        chains = sum(pl.per_call_muls for pl in self.reduce_plans + self.lift_plans)
+        return chains + self.GARNER_MULS
 
-    def reduce(self, exponent: int, s: int = 1) -> tuple[int, int]:
-        """The order-reduced per-prime exponents of ``exponent``."""
-        _, _, order_p, order_q, _ = self._level(s)
-        return exponent % order_p, exponent % order_q
-
-    def cost(self, exponent: int, s: int = 1) -> int:
-        """Exact multiplications of one :meth:`pow` call (Garner included)."""
-        ep, eq = self.reduce(exponent, s)
-        return binary_pow_cost(ep) + binary_pow_cost(eq) + 2
-
-    def pow(
-        self,
-        base: int,
-        exponent: int,
-        s: int = 1,
-        ledger: MulLedger | None = None,
-    ) -> int:
-        """``base^exponent mod (p*q)^{s+1}`` for a unit ``base``."""
-        if exponent < 0:
-            raise CryptoError("CRT exponentiation needs a non-negative exponent")
-        ps1, qs1, _, _, q_inv = self._level(s)
-        ep, eq = self.reduce(exponent, s)
-        xp = pow(base % ps1, ep, ps1)
-        xq = pow(base % qs1, eq, qs1)
-        # Garner: x = xq + q^{s+1} * ((xp - xq) * (q^{s+1})^-1 mod p^{s+1}).
+    def powmod(self, r: int, ledger: MulLedger | None = None) -> int:
+        """``r^{N^s} mod N^{s+1}`` — value-identical to builtin ``pow``."""
+        p, q, ps1, qs1 = self.moduli
+        reduce_p, reduce_q = self.reduce_plans
+        lift_p, lift_q = self.lift_plans
+        xp = lift_p.powmod(reduce_p.powmod(r, p), ps1)
+        xq = lift_q.powmod(reduce_q.powmod(r, q), qs1)
         if ledger is not None:
-            ledger.add(self.cost(exponent, s))
-        return xq + qs1 * ((xp - xq) * q_inv % ps1)
+            ledger.add(self.per_call_muls)
+        # Garner: x = xq + q^{s+1} * ((xp - xq) * (q^{s+1})^-1 mod p^{s+1}).
+        return xq + qs1 * ((xp - xq) * self._q_inv % ps1)

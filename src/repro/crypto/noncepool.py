@@ -36,7 +36,8 @@ class PoolStats:
     produced by :meth:`NoncePool.refill`.  The ``fastexp`` trio tracks
     which exponentiation kernel the refills ran: ``windowed`` factors
     went through the fixed-exponent window program, ``crt_split``
-    through the secret-key half-width path, and ``fast_muls`` is the
+    through the key owner's lifted half-width path
+    (:meth:`PaillierPrivateKey.obfuscate`), and ``fast_muls`` is the
     big-integer multiplication count refill exponentiations spent —
     exact for the fast kernels, the square-and-multiply estimate for
     builtin ``pow`` (the ``crypto.fastexp.*`` metrics).
@@ -71,9 +72,11 @@ class NoncePool:
 
     With a ``secret_key`` the pool belongs to the key owner (the paper's
     coordinator precomputes its *own* nonces), so refills run the
-    CRT-split half-width path; without one they use the public windowed
-    fixed-exponent program.  Both produce the exact values builtin
-    ``pow`` would, so pool contents never depend on which kernel ran.
+    lifted half-width path of :meth:`PaillierPrivateKey.obfuscate`, and
+    a dry take falls back to the key owner's encryption; without one
+    they use the public windowed fixed-exponent program.  Both produce
+    the exact values builtin ``pow`` would, so pool contents never
+    depend on which kernel ran.
     """
 
     def __init__(
@@ -104,23 +107,16 @@ class NoncePool:
             raise ConfigurationError("refill count must be non-negative")
         rng = rng or random.Random()
         pk = self.public_key
-        mod = pk.ciphertext_modulus(s)
-        exponent = pk.n_pow(s)
+        key = self.secret_key or pk
         bucket = self._factors[s]
-        fast = fastexp.enabled()
         ledger = fastexp.MulLedger()
-        plan = pk.nonce_plan(s) if fast and self.secret_key is None else None
         for _ in range(count):
-            r = pk.random_unit(rng)
-            if not fast:
-                bucket.append(pow(r, exponent, mod))
-                ledger.add(fastexp.binary_pow_cost(exponent))
-            elif self.secret_key is not None:
-                bucket.append(self.secret_key.crt_pow(r, exponent, s, ledger))
-                self.stats.crt_split += 1
+            bucket.append(key.obfuscate(pk.random_unit(rng), s, ledger))
+        if fastexp.enabled():
+            if self.secret_key is not None:
+                self.stats.crt_split += count
             else:
-                bucket.append(plan.powmod(r, mod, ledger))
-                self.stats.windowed += 1
+                self.stats.windowed += count
         self.stats.fast_muls += ledger.muls
         self.stats.precomputed += count
         self.stats.refills += 1
@@ -229,7 +225,7 @@ def encrypt_with_pool(
         raise CryptoError(f"plaintext out of range for s={s}")
     factor = pool.take(s)
     if factor is None:
-        return pk.encrypt(plaintext, s=s, rng=rng)
+        return (pool.secret_key or pk).encrypt(plaintext, s=s, rng=rng)
     # Routed through the key method so profiled keys charge the pooled
     # cost (binomial expansion + combine) instead of a full encryption.
     return pk.encrypt_with_factor(plaintext, factor, s=s)

@@ -81,6 +81,11 @@ def _extract_dlog(u: int, base: int, s: int) -> int:
     return m
 
 
+def _check_plaintext(plaintext: int, s: int, public_key: "PaillierPublicKey") -> None:
+    if not 0 <= plaintext < public_key.plaintext_modulus(s):
+        raise CryptoError(f"plaintext out of range for s={s}: need 0 <= m < N^{s}")
+
+
 @dataclass(frozen=True, slots=True)
 class Ciphertext:
     """A Damgård–Jurik ciphertext: a value in ``Z*_{N^{s+1}}``.
@@ -197,11 +202,19 @@ class PaillierPublicKey:
             self._nonce_plans[s] = plan
         return plan
 
-    def obfuscate(self, r: int, s: int = 1) -> int:
-        """The obfuscation factor ``r^{N^s} mod N^{s+1}`` of nonce ``r``."""
+    def obfuscate(
+        self, r: int, s: int = 1, ledger: fastexp.MulLedger | None = None
+    ) -> int:
+        """The obfuscation factor ``r^{N^s} mod N^{s+1}`` of nonce ``r``.
+
+        ``ledger`` receives the multiplications spent: exact for the
+        window program, the square-and-multiply count for builtin ``pow``.
+        """
         mod_cipher = self.ciphertext_modulus(s)
         if fastexp.enabled():
-            return self.nonce_plan(s).powmod(r, mod_cipher)
+            return self.nonce_plan(s).powmod(r, mod_cipher, ledger)
+        if ledger is not None:
+            ledger.add(fastexp.binary_pow_cost(self.n_pow(s)))
         return pow(r, self.n_pow(s), mod_cipher)
 
     def random_unit(self, rng: random.Random) -> int:
@@ -231,11 +244,7 @@ class PaillierPublicKey:
         result is deterministic and NOT semantically secure — used only by
         tests and micro-benchmarks that isolate other costs.
         """
-        mod_plain = self.plaintext_modulus(s)
-        if not 0 <= plaintext < mod_plain:
-            raise CryptoError(
-                f"plaintext out of range for s={s}: need 0 <= m < N^{s}"
-            )
+        _check_plaintext(plaintext, s, self)
         value = self.g_pow(plaintext, s)
         if secure:
             rng = rng or random.Random()
@@ -254,11 +263,7 @@ class PaillierPublicKey:
         remain.  The factor must come from :meth:`obfuscate` (or a pool
         refilled under *this* key) for the ciphertext to be decryptable.
         """
-        mod_plain = self.plaintext_modulus(s)
-        if not 0 <= plaintext < mod_plain:
-            raise CryptoError(
-                f"plaintext out of range for s={s}: need 0 <= m < N^{s}"
-            )
+        _check_plaintext(plaintext, s, self)
         mod_cipher = self.ciphertext_modulus(s)
         value = self.g_pow(plaintext, s) * factor % mod_cipher
         return Ciphertext(value=value, s=s, public_key=self)
@@ -285,7 +290,7 @@ class PaillierPrivateKey:
         "_crt",
         "_crt_s",
         "_prime_plans",
-        "_crt_pow",
+        "_owner_nonces",
     )
 
     def __init__(self, public_key: PaillierPublicKey, p: int, q: int) -> None:
@@ -301,7 +306,7 @@ class PaillierPrivateKey:
         self._crt: tuple[int, int, int, int, int] | None = None
         self._crt_s: dict[int, tuple[int, int, int, int, int]] = {}
         self._prime_plans: tuple[fastexp.WindowPlan, fastexp.WindowPlan] | None = None
-        self._crt_pow: fastexp.CrtPow | None = None
+        self._owner_nonces: dict[int, fastexp.LiftedNonce] = {}
 
     def prime_plans(self) -> tuple[fastexp.WindowPlan, fastexp.WindowPlan]:
         """Window programs of the fixed CRT exponents ``p - 1`` and ``q - 1``.
@@ -316,24 +321,44 @@ class PaillierPrivateKey:
             self._prime_plans = plans
         return plans
 
-    def crt_pow(
-        self,
-        base: int,
-        exponent: int,
-        s: int = 1,
-        ledger: "fastexp.MulLedger | None" = None,
-    ) -> int:
-        """``base^exponent mod N^{s+1}`` at half width, for unit bases.
+    def owner_nonce(self, s: int = 1) -> fastexp.LiftedNonce:
+        """The cached half-width nonce kernel of level ``s`` (see
+        :class:`~repro.crypto.fastexp.LiftedNonce`)."""
+        nonce = self._owner_nonces.get(s)
+        if nonce is None:
+            nonce = fastexp.LiftedNonce(self.p, self.q, s)
+            self._owner_nonces[s] = nonce
+        return nonce
 
-        The secret-key holder's general-purpose exponentiation: two
-        order-reduced chains modulo ``p^{s+1}`` / ``q^{s+1}`` plus Garner
-        (see :class:`~repro.crypto.fastexp.CrtPow`).  The coordinator owns
-        the key pair, so its own nonce-pool refills run here instead of
-        full width.
+    def obfuscate(
+        self, r: int, s: int = 1, ledger: fastexp.MulLedger | None = None
+    ) -> int:
+        """Key-owner ``r^{N^s} mod N^{s+1}``: the value of
+        :meth:`PaillierPublicKey.obfuscate`, computed at half width.
+
+        The coordinator generates the group key pair, so it knows ``p``
+        and ``q`` and can lift two single-width chains instead of running
+        one full-width exponentiation.  With the fast paths off this is
+        builtin ``pow``, the same value.
         """
-        if self._crt_pow is None:
-            self._crt_pow = fastexp.CrtPow(self.p, self.q)
-        return self._crt_pow.pow(base, exponent, s, ledger)
+        if fastexp.enabled():
+            return self.owner_nonce(s).powmod(r, ledger)
+        return self.public_key.obfuscate(r, s, ledger)
+
+    def encrypt(
+        self, plaintext: int, s: int = 1, rng: random.Random | None = None
+    ) -> Ciphertext:
+        """Encrypt under level ``s`` as the key owner.
+
+        Draws the nonce exactly as :meth:`PaillierPublicKey.encrypt` does,
+        so under one rng stream both produce the same ciphertext value;
+        only the nonce exponentiation runs through :meth:`obfuscate`.
+        """
+        pk = self.public_key
+        _check_plaintext(plaintext, s, pk)
+        r = pk.random_unit(rng or random.Random())
+        value = pk.g_pow(plaintext, s) * self.obfuscate(r, s)
+        return Ciphertext(value=value % pk.ciphertext_modulus(s), s=s, public_key=pk)
 
     def __repr__(self) -> str:
         return f"PaillierPrivateKey(bits={self.public_key.key_bits})"

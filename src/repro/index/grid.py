@@ -33,6 +33,7 @@ class GridIndex(SpatialIndex):
         self._buckets: dict[tuple[int, int], list[tuple[Point, Any]]] = {}
         self._count = 0
         self.version = 0
+        self._traversal_cache: tuple[int, list[TraversalNode]] | None = None
 
     def cell_of(self, p: Point) -> tuple[int, int]:
         """The (column, row) cell containing ``p``; boundary points clamp inward."""
@@ -89,10 +90,15 @@ class GridIndex(SpatialIndex):
     def traversal_roots(self) -> list[TraversalNode]:
         """A synthetic two-level hierarchy: one leaf node per occupied cell.
 
-        Built on demand from the live buckets (O(n)); leaf MBRs are tight
-        over the actual points, so best-first searches prune exactly.
-        Cells are visited in sorted key order for determinism.
+        Built from the live buckets (O(n)) and cached per mutation
+        version, so only the first query after a change pays for it; leaf
+        MBRs are tight over the actual points, so best-first searches
+        prune exactly.  Cells are visited in sorted key order for
+        determinism.
         """
+        cached = self._traversal_cache
+        if cached is not None and cached[0] == self.version:
+            return cached[1]
         children: list[TraversalNode] = []
         root_mbr: Rect | None = None
         for key in sorted(self._buckets):
@@ -108,8 +114,9 @@ class GridIndex(SpatialIndex):
             )
             children.append(leaf)
             root_mbr = mbr if root_mbr is None else root_mbr.union(mbr)
-        root = TraversalNode(is_leaf=False, children=children, mbr=root_mbr)
-        return [root]
+        roots = [TraversalNode(is_leaf=False, children=children, mbr=root_mbr)]
+        self._traversal_cache = (self.version, roots)
+        return roots
 
     def __len__(self) -> int:
         return self._count

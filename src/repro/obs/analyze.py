@@ -31,7 +31,7 @@ from typing import Mapping, Sequence
 
 from repro.crypto.paillier import KeyPair
 from repro.errors import ConfigurationError, ReproError
-from repro.obs.profile import pow_mul_estimate
+from repro.obs.profile import owner_nonce_cost, pow_mul_estimate
 from repro.obs.trace import Span, validate_spans
 
 #: Attribution phases, in render order.  Every span lands in exactly one.
@@ -278,52 +278,61 @@ def normalized_ops(
 def estimate_modmuls(counters: Mapping[str, float], keypair: KeyPair) -> dict:
     """Analytic modular-multiplication totals from exact op counters.
 
-    Uses the same square-and-multiply arithmetic as
+    Uses the same per-op counts as
     :class:`~repro.obs.profile.ProfiledPublicKey` /
     :class:`~repro.obs.profile.ProfiledPrivateKey` at level ``s=1`` (the
     level every PPGNN/naive operation and the dominant PPGNN-OPT
-    operations run at): an encryption pays the nonce exponentiation
-    ``r^N mod N^2`` (windowed when the fast paths are on, with the
-    odd-power table under its own ``.tables`` key) plus the binomial
+    operations run at): every protocol encryption is the coordinator's
+    key-owner encryption, which pays the nonce ``r^N mod N^2`` (the
+    lifted half-width chains when the fast paths are on, with their
+    odd-power tables under their own ``.tables`` key) plus the binomial
     expansion and combine multiply, a CRT decryption two half-size
     exponentiations with ``(p-1)`` / ``(q-1)`` exponents, a generic
     decryption one full-size exponentiation with ``lambda``.
     Deterministic given the seeded key pair and the counters, so the
     sentinel treats the total as an exact counter — and for a pure s=1
     workload it equals the profiler's ``bigint_muls`` ledger exactly
-    (asserted in tests).
+    (asserted in tests).  ``work64`` is the same total weighted by the
+    squared 64-bit limb count of each multiply (the profiler's
+    ``mul_work``): the key owner's half-width chains run about twice the
+    multiplications of one full-width chain, each far cheaper.
     """
     from repro.crypto import fastexp
 
     public, secret = keypair.public_key, keypair.secret_key
     bits = public.key_bits
+    half_limbs = (bits / 64.0) ** 2
+    (nonce, nonce_work), owner_tables = owner_nonce_cost(secret, 1)
     if fastexp.enabled():
-        nonce_plan = public.nonce_plan(1)
-        per_encrypt = nonce_plan.chain_muls + 3
-        per_encrypt_tables = nonce_plan.table_muls
         plan_p, plan_q = secret.prime_plans()
         per_crt = plan_p.chain_muls + plan_q.chain_muls
         per_crt_tables = plan_p.table_muls + plan_q.table_muls
     else:
-        nonce_muls, _ = pow_mul_estimate(public.n_pow(1), 2 * bits)
-        per_encrypt = nonce_muls + 3
-        per_encrypt_tables = 0
         per_crt_p, _ = pow_mul_estimate(secret.p - 1, bits)
         per_crt_q, _ = pow_mul_estimate(secret.q - 1, bits)
         per_crt = per_crt_p + per_crt_q
         per_crt_tables = 0
-    per_generic, _ = pow_mul_estimate(secret.lam, 2 * bits)
     encryptions = counters.get("crypto.encryptions", 0)
     crt = counters.get("crypto.decryptions.crt", 0)
-    generic = counters.get("crypto.decryptions.generic", 0)
-    breakdown = {
-        "encrypt": int(encryptions * per_encrypt),
-        "encrypt.tables": int(encryptions * per_encrypt_tables),
-        "decrypt.crt": int(crt * per_crt),
-        "decrypt.crt.tables": int(crt * per_crt_tables),
-        "decrypt.generic": int(generic * per_generic),
+    # op class -> (count, (muls, limb-weighted work) per op)
+    per_op = {
+        "encrypt.owner": (
+            encryptions,
+            (nonce + 3, nonce_work + 3 * (2 * bits / 64.0) ** 2),
+        ),
+        "encrypt.owner.tables": (encryptions, owner_tables),
+        "decrypt.crt": (crt, (per_crt, per_crt * half_limbs)),
+        "decrypt.crt.tables": (crt, (per_crt_tables, per_crt_tables * half_limbs)),
+        "decrypt.generic": (
+            counters.get("crypto.decryptions.generic", 0),
+            pow_mul_estimate(secret.lam, 2 * bits),
+        ),
     }
+    breakdown = {op: int(count * muls) for op, (count, (muls, _)) in per_op.items()}
     breakdown["total"] = sum(breakdown.values())
+    breakdown["work64"] = round(
+        sum(count * work for count, (_, work) in per_op.values())
+    )
     return breakdown
 
 

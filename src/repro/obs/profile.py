@@ -44,6 +44,40 @@ def pow_mul_estimate(exponent: int, mod_bits: int) -> tuple[int, float]:
     return muls, muls * limb_factor
 
 
+def owner_nonce_cost(
+    secret_key: PaillierPrivateKey, s: int = 1
+) -> tuple[tuple[int, float], tuple[int, float]]:
+    """((chain muls, work), (table muls, work)) of one key-owner nonce.
+
+    Derived from the exponents :meth:`PaillierPrivateKey.obfuscate`
+    actually runs.  With the fast paths on: the two reduce chains at
+    prime width, the two lift chains and the Garner step at
+    ``p^{s+1}`` width — each weighted by its own limb count, so the
+    work falls even though the raw count is about twice that of one
+    full-width chain.  Off: builtin ``pow`` with exponent ``N^s`` at
+    full width, no tables.
+    """
+    public = secret_key.public_key
+    full_bits = (s + 1) * public.key_bits
+    if not fastexp.enabled():
+        return pow_mul_estimate(public.n_pow(s), full_bits), (0, 0.0)
+    nonce = secret_key.owner_nonce(s)
+    prime_limbs = (public.key_bits // 2 / 64.0) ** 2
+    lift_limbs = (full_bits // 2 / 64.0) ** 2
+    chain = tables = 0
+    chain_work = table_work = 0.0
+    stages = ((nonce.reduce_plans, prime_limbs), (nonce.lift_plans, lift_limbs))
+    for plans, limbs in stages:
+        for plan in plans:
+            chain += plan.chain_muls
+            tables += plan.table_muls
+            chain_work += plan.chain_muls * limbs
+            table_work += plan.table_muls * limbs
+    chain += nonce.GARNER_MULS
+    chain_work += nonce.GARNER_MULS * lift_limbs
+    return (chain, chain_work), (tables, table_work)
+
+
 @dataclass
 class OpProfile:
     """Accumulated cost of one operation class (e.g. ``decrypt.crt``)."""
@@ -176,7 +210,8 @@ class ProfiledPublicKey(PaillierPublicKey):
 
 
 class ProfiledPrivateKey(PaillierPrivateKey):
-    """A private key that accounts decryptions, split by path taken."""
+    """A private key that accounts decryptions, split by path taken, and
+    key-owner encryptions under their own ``encrypt.owner`` class."""
 
     __slots__ = ("profiler",)
 
@@ -189,6 +224,24 @@ class ProfiledPrivateKey(PaillierPrivateKey):
     ) -> None:
         super().__init__(public_key, p, q)
         self.profiler = profiler if profiler is not None else KeyProfiler()
+
+    def encrypt(self, plaintext, s=1, rng=None) -> Ciphertext:
+        started = time.perf_counter()
+        result = super().encrypt(plaintext, s, rng)
+        wall = time.perf_counter() - started
+        (chain, chain_work), (tables, table_work) = owner_nonce_cost(self, s)
+        if tables:
+            self.profiler.profile("encrypt.owner.tables").record(
+                tables, table_work, 0.0
+            )
+        # The nonce exponentiation plus the 2s-mul binomial expansion and
+        # the combine multiply, both at full ciphertext width.
+        full = 2 * s + 1
+        limb_factor = ((s + 1) * self.public_key.key_bits / 64.0) ** 2
+        self.profiler.profile("encrypt.owner").record(
+            chain + full, chain_work + full * limb_factor, wall
+        )
+        return result
 
     def decrypt_with_path(self, c: Ciphertext, use_crt: bool = True):
         started = time.perf_counter()

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.crypto import fastexp
 from repro.crypto.fastexp import (
-    CrtPow,
+    LiftedNonce,
     MulLedger,
     WindowPlan,
     binary_pow_cost,
@@ -141,33 +141,44 @@ class TestMultiPow:
 
 
 class TestCrtPow:
+    """The key owner's CRT-split nonce kernel, :class:`LiftedNonce`."""
+
     def test_matches_builtin_pow_across_levels(self):
         keypair = generate_keypair(128, seed=54321)
         sk, pk = keypair.secret_key, keypair.public_key
-        crt = CrtPow(sk.p, sk.q)
         rng = random.Random(5)
         for s in (1, 2, 3):
+            nonce = LiftedNonce(sk.p, sk.q, s)
             mod = pk.ciphertext_modulus(s)
-            for _ in range(4):
-                base = pk.random_unit(rng)
-                exponent = rng.randrange(1, pk.n_pow(s))
-                assert crt.pow(base, exponent, s) == pow(base, exponent, mod)
+            bases = [pk.random_unit(rng) for _ in range(4)]
+            # Non-units too: multiples of p or q still lift to the pow value.
+            bases += [0, sk.p, 3 * sk.q, pk.n - 1]
+            for base in bases:
+                assert nonce.powmod(base) == pow(base, pk.n_pow(s), mod)
 
     def test_ledger_matches_cost(self):
         keypair = generate_keypair(128, seed=54321)
         sk = keypair.secret_key
-        crt = CrtPow(sk.p, sk.q)
-        ledger = MulLedger()
-        crt.pow(12345, keypair.public_key.n, 1, ledger)
-        assert ledger.muls == crt.cost(keypair.public_key.n, 1)
+        for s in (1, 2):
+            nonce = LiftedNonce(sk.p, sk.q, s)
+            ledger = MulLedger()
+            nonce.powmod(12345, ledger)
+            assert ledger.muls == nonce.per_call_muls
+            plans = nonce.reduce_plans + nonce.lift_plans
+            assert nonce.per_call_muls == (
+                sum(pl.per_call_muls for pl in plans) + LiftedNonce.GARNER_MULS
+            )
+            # Lift exponents p^s / q^s, reduce exponents inside [1, prime - 1].
+            assert [pl.exponent for pl in nonce.lift_plans] == [sk.p**s, sk.q**s]
+            reduce_p, reduce_q = (pl.exponent for pl in nonce.reduce_plans)
+            assert 1 <= reduce_p < sk.p and 1 <= reduce_q < sk.q
 
     def test_rejects_degenerate_inputs(self):
         with pytest.raises(CryptoError):
-            CrtPow(7, 7)
+            LiftedNonce(7, 7)
         keypair = generate_keypair(128, seed=54321)
-        crt = CrtPow(keypair.secret_key.p, keypair.secret_key.q)
         with pytest.raises(CryptoError):
-            crt.pow(3, -1)
+            LiftedNonce(keypair.secret_key.p, keypair.secret_key.q, 0)
 
 
 class TestToggle:

@@ -266,14 +266,17 @@ class TestFastPathEquivalence:
                 with fastexp.forced(flag):
                     assert pk.obfuscate(r, s) == expected
 
-    def test_crt_pow_matches_pow(self, keypair):
+    def test_owner_obfuscate_matches_pow(self, keypair):
+        from repro.crypto import fastexp
+
         sk, pk = keypair
         rng = random.Random(12)
-        base = pk.random_unit(rng)
-        exponent = pk.n_pow(2)
-        assert sk.crt_pow(base, exponent, s=2) == pow(
-            base, exponent, pk.ciphertext_modulus(2)
-        )
+        for s in (1, 2):
+            r = pk.random_unit(rng)
+            expected = pow(r, pk.n_pow(s), pk.ciphertext_modulus(s))
+            for flag in (True, False):
+                with fastexp.forced(flag):
+                    assert sk.obfuscate(r, s) == expected
 
     def test_encrypt_with_factor_validates_range(self, keypair):
         _, pk = keypair

@@ -84,3 +84,30 @@ class TestGridQueries:
         for poi in small_pois[:20]:
             grid.insert(poi.location, poi)
         assert len(list(grid.entries())) == 20
+
+
+class TestTraversalCache:
+    @staticmethod
+    def _leaf_items(grid):
+        (root,) = grid.traversal_roots()
+        return sorted(p.poi_id for leaf in root.children for p in leaf.items)
+
+    def test_reused_until_the_grid_changes(self, grid, small_pois):
+        grid.bulk_load((poi.location, poi) for poi in small_pois[:50])
+        first = grid.traversal_roots()
+        assert grid.traversal_roots() is first
+
+    def test_insert_invalidates(self, grid, small_pois):
+        grid.bulk_load((poi.location, poi) for poi in small_pois[:50])
+        before = grid.traversal_roots()
+        extra = small_pois[50]
+        grid.insert(extra.location, extra)
+        assert grid.traversal_roots() is not before
+        assert self._leaf_items(grid) == sorted(p.poi_id for p in small_pois[:51])
+
+    def test_bulk_load_invalidates(self, grid, small_pois):
+        grid.bulk_load((poi.location, poi) for poi in small_pois[:50])
+        before = grid.traversal_roots()
+        grid.bulk_load((poi.location, poi) for poi in small_pois[100:120])
+        assert grid.traversal_roots() is not before
+        assert self._leaf_items(grid) == sorted(p.poi_id for p in small_pois[100:120])
