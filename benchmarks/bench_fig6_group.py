@@ -38,6 +38,10 @@ PROTOCOLS = {
 
 METRICS = (("comm", "comm_bytes"), ("user", "user_seconds"), ("lsp", "lsp_seconds"))
 
+#: Per-query report fields behind the timed metrics, shown as a min-max
+#: range next to the mean: three-query means alone are too noisy to rank.
+RANGES = {"user": "user_cost_seconds", "lsp": "lsp_cost_seconds"}
+
 
 def _group(lsp, n: int, seed: int):
     return lsp.space.sample_points(n, np.random.default_rng(seed))
@@ -50,16 +54,27 @@ def _sweep(lsp, settings, xs, config_for, n_for):
         cfg = config_for(x)
         n = n_for(x)
         for name, runner in PROTOCOLS.items():
+            reports = []
+
+            def run(seed, runner=runner, cfg=cfg, n=n, reports=reports):
+                result = runner(lsp, _group(lsp, n, seed), cfg, seed=seed)
+                reports.append(result.report)
+                return result
+
             measured = measure_protocol(
-                lambda seed, runner=runner, cfg=cfg, n=n: runner(
-                    lsp, _group(lsp, n, seed), cfg, seed=seed
-                ),
-                repeats=settings.repeats,
-                base_seed=settings.seed,
+                run, repeats=settings.repeats, base_seed=settings.seed
             )
             for metric, attr in METRICS:
-                fmt = format_bytes if metric == "comm" else format_seconds
-                rows[metric][name].append(fmt(getattr(measured, attr)))
+                if metric == "comm":
+                    cell = format_bytes(measured.comm_bytes)
+                else:
+                    per_query = [getattr(r, RANGES[metric]) for r in reports]
+                    cell = (
+                        f"{format_seconds(getattr(measured, attr))} "
+                        f"[{format_seconds(min(per_query))}-"
+                        f"{format_seconds(max(per_query))}]"
+                    )
+                rows[metric][name].append(cell)
     return rows
 
 

@@ -1,15 +1,16 @@
 """Exact communication-cost predictions for every protocol variant.
 
-Each function mirrors one runner's message sequence and sums the same
-byte-size formulas the messages themselves use, making the ledger's totals
-*predictable* rather than merely measurable:
-
-- PPGNN (Section 4.2): position broadcasts + group request + n location-set
-  uploads + the m-ciphertext answer + the plaintext answer broadcast,
-- PPGNN-OPT (Section 6): the two small indicators replace the long one and
-  the answer returns under eps_2,
-- Naive (Section 4): delta-length uploads and a delta-length indicator,
-- single user (Section 3): one request carrying the location set.
+The group predictors read the round's shape from
+:class:`~repro.core.plan.RoundPlan` — the same plan the runner executes —
+and sum the byte-size formulas the messages themselves use, making the
+ledger's totals *predictable* rather than merely measurable.  One round
+is n position broadcasts, the group request (partition sizes plus the
+plan's indicator vectors), n location-set uploads of ``params.d``
+locations, the m-ciphertext answer at the plan's answer level, and the
+plaintext answer broadcast.  PPGNN-OPT's two small indicators and eps_2
+answer, and Naive's delta-length sets and indicator, are plan shapes,
+not separate formulas.  The single-user round (Section 3) carries the
+location set inside its request.
 
 The consistency test (`tests/test_analysis.py`) runs every protocol and
 asserts byte-exact agreement with the simulated ledger — the strongest
@@ -18,14 +19,12 @@ form of the Table 2 analysis.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from repro.core.opt import optimal_omega
+from repro.core.plan import RoundPlan
 from repro.encoding.answers import AnswerCodec
 from repro.errors import ConfigurationError
 from repro.geometry.space import LocationSpace
-from repro.partition.solver import solve_partition
 
 _INT = 4
 _LOCATION = 16
@@ -63,6 +62,35 @@ class CommBreakdown:
         )
 
 
+def _plan_comm(
+    plan: RoundPlan, k: int, keysize: int, answer_len: int | None = None
+) -> CommBreakdown:
+    """Exact bytes of one group round of ``plan``.
+
+    ``answer_len`` is the post-sanitation POI count t (defaults to k, the
+    PPGNN-NAS case); it only affects the final plaintext broadcast.
+    """
+    t = k if answer_len is None else answer_len
+    if t > k:
+        raise ConfigurationError("answer length cannot exceed k")
+    params = plan.params
+    request = (
+        _INT
+        + keysize // 8
+        + _INT * (params.alpha + params.beta)
+        + sum(length * _cipher_bytes(keysize, s) for length, s in plan.indicators)
+        + _FLOAT
+    )
+    return CommBreakdown(
+        position_broadcasts=params.n * _INT,
+        request=request,
+        uploads=params.n * (_INT + _LOCATION * params.d),
+        encrypted_answer=_answer_integers(keysize, k)
+        * _cipher_bytes(keysize, plan.answer_s),
+        answer_broadcast=(params.n - 1) * (_INT + _POI * t),
+    )
+
+
 def predict_ppgnn_comm(
     n: int,
     d: int,
@@ -71,31 +99,9 @@ def predict_ppgnn_comm(
     keysize: int,
     answer_len: int | None = None,
 ) -> CommBreakdown:
-    """Exact bytes of one PPGNN round.
-
-    ``answer_len`` is the post-sanitation POI count t (defaults to k, the
-    PPGNN-NAS case); it only affects the final plaintext broadcast.
-    """
-    params = solve_partition(n, d, delta)
-    t = k if answer_len is None else answer_len
-    if t > k:
-        raise ConfigurationError("answer length cannot exceed k")
-    l1 = _cipher_bytes(keysize, 1)
-    m = _answer_integers(keysize, k)
-    request = (
-        _INT
-        + keysize // 8
-        + _INT * (params.alpha + params.beta)
-        + params.delta_prime * l1
-        + _FLOAT
-    )
-    return CommBreakdown(
-        position_broadcasts=n * _INT,
-        request=request,
-        uploads=n * (_INT + _LOCATION * d),
-        encrypted_answer=m * l1,
-        answer_broadcast=(n - 1) * (_INT + _POI * t),
-    )
+    """Exact bytes of one PPGNN round."""
+    plan = RoundPlan.for_shape("ppgnn", n, d, delta)
+    return _plan_comm(plan, k, keysize, answer_len)
 
 
 def predict_opt_comm(
@@ -108,30 +114,8 @@ def predict_opt_comm(
     omega: int | None = None,
 ) -> CommBreakdown:
     """Exact bytes of one PPGNN-OPT round (two-phase selection)."""
-    params = solve_partition(n, d, delta)
-    t = k if answer_len is None else answer_len
-    if t > k:
-        raise ConfigurationError("answer length cannot exceed k")
-    block_count = omega if omega is not None else optimal_omega(params.delta_prime)
-    block_width = math.ceil(params.delta_prime / block_count)
-    l1 = _cipher_bytes(keysize, 1)
-    l2 = _cipher_bytes(keysize, 2)
-    m = _answer_integers(keysize, k)
-    request = (
-        _INT
-        + keysize // 8
-        + _INT * (params.alpha + params.beta)
-        + block_width * l1
-        + block_count * l2
-        + _FLOAT
-    )
-    return CommBreakdown(
-        position_broadcasts=n * _INT,
-        request=request,
-        uploads=n * (_INT + _LOCATION * d),
-        encrypted_answer=m * l2,
-        answer_broadcast=(n - 1) * (_INT + _POI * t),
-    )
+    plan = RoundPlan.for_shape("ppgnn-opt", n, d, delta, omega)
+    return _plan_comm(plan, k, keysize, answer_len)
 
 
 def predict_naive_comm(
@@ -142,25 +126,8 @@ def predict_naive_comm(
     answer_len: int | None = None,
 ) -> CommBreakdown:
     """Exact bytes of one Naive round (delta-length sets, aligned slots)."""
-    t = k if answer_len is None else answer_len
-    if t > k:
-        raise ConfigurationError("answer length cannot exceed k")
-    l1 = _cipher_bytes(keysize, 1)
-    m = _answer_integers(keysize, k)
-    request = (
-        _INT
-        + keysize // 8
-        + _INT * (1 + delta)  # alpha = 1 subgroup, delta singleton segments
-        + delta * l1
-        + _FLOAT
-    )
-    return CommBreakdown(
-        position_broadcasts=n * _INT,
-        request=request,
-        uploads=n * (_INT + _LOCATION * delta),
-        encrypted_answer=m * l1,
-        answer_broadcast=(n - 1) * (_INT + _POI * t),
-    )
+    plan = RoundPlan.for_shape("naive", n, delta, delta)
+    return _plan_comm(plan, k, keysize, answer_len)
 
 
 def predict_single_comm(d: int, k: int, keysize: int) -> CommBreakdown:

@@ -282,7 +282,9 @@ class ClusterRunner:
             from repro.core.common import group_keypair
 
             keypair = group_keypair(config)
-            session.nonce_pool = self.registry.pool_for(keypair.public_key)
+            session.nonce_pool = self.registry.pool_for(
+                keypair.public_key, keypair.secret_key
+            )
         self._sessions[key] = session
         return session
 

@@ -10,6 +10,8 @@ Public entry points:
 - :func:`~repro.core.opt.run_ppgnn_opt` — the two-phase optimization of
   Section 6 (PPGNN-OPT),
 - :func:`~repro.core.naive.run_naive` — the Naive baseline of Section 4,
+- :class:`~repro.core.plan.RoundPlan` — the shape of one group round; the
+  three group runners share one round function that executes it,
 - :class:`~repro.core.lsp.LSPServer` — the service provider,
 - :class:`~repro.core.config.PPGNNConfig` — all privacy/system parameters.
 """
@@ -19,6 +21,7 @@ from repro.core.group import random_group, run_ppgnn
 from repro.core.lsp import LSPServer
 from repro.core.naive import run_naive
 from repro.core.opt import optimal_omega, paper_omega, run_ppgnn_opt
+from repro.core.plan import RoundPlan
 from repro.core.result import ProtocolResult
 from repro.core.sanitize import AnswerSanitizer, SanitationOutcome
 from repro.core.session import QuerySession, SessionTotals
@@ -28,6 +31,7 @@ __all__ = [
     "PPGNNConfig",
     "LSPServer",
     "ProtocolResult",
+    "RoundPlan",
     "run_ppgnn",
     "run_ppgnn_opt",
     "run_naive",

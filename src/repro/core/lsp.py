@@ -255,27 +255,40 @@ class LSPServer:
 
     # ------------------------------------------------------------ group query
 
+    def _group_columns(
+        self,
+        request: GroupQueryRequest | OptGroupQueryRequest,
+        uploads: Sequence[LocationSetUpload],
+        indicator_length: int | None = None,
+    ) -> list[list[int]]:
+        """Algorithm 2 up to the selection: one answer column per candidate.
+
+        ``indicator_length`` is the flat indicator's length, checked
+        against delta' before the uploads are read.
+        """
+        layout = self._layout_from_request(
+            request.subgroup_sizes, request.segment_sizes
+        )
+        if indicator_length is not None and indicator_length != layout.delta_prime:
+            raise ProtocolError(
+                f"indicator length {indicator_length} != delta' "
+                f"{layout.delta_prime}"
+            )
+        sets = self._location_sets(uploads, layout.n)
+        codec = self._codec(request.public_key, request.k)
+        return self._answer_columns(
+            layout.enumerate_candidates(sets), request.k, request.theta0, codec
+        )
+
     def answer_group_query(
         self,
         request: GroupQueryRequest,
         uploads: Sequence[LocationSetUpload],
         ledger: CostLedger,
     ) -> EncryptedAnswer:
-        """Algorithm 2 for PPGNN (and PPGNN-NAS when ``theta0`` is None)."""
+        """Algorithm 2 for PPGNN and Naive (PPGNN-NAS when ``theta0`` is None)."""
         with ledger.clock(LSP):
-            layout = self._layout_from_request(
-                request.subgroup_sizes, request.segment_sizes
-            )
-            if len(request.indicator) != layout.delta_prime:
-                raise ProtocolError(
-                    f"indicator length {len(request.indicator)} != delta' "
-                    f"{layout.delta_prime}"
-                )
-            sets = self._location_sets(uploads, layout.n)
-            codec = self._codec(request.public_key, request.k)
-            columns = self._answer_columns(
-                layout.enumerate_candidates(sets), request.k, request.theta0, codec
-            )
+            columns = self._group_columns(request, uploads, len(request.indicator))
             selected = matrix_select(
                 self._rows(columns), request.indicator, ledger.counter(LSP)
             )
@@ -289,16 +302,11 @@ class LSPServer:
     ) -> EncryptedAnswer:
         """Algorithm 2 with the two-phase private selection of Section 6."""
         with ledger.clock(LSP):
-            layout = self._layout_from_request(
-                request.subgroup_sizes, request.segment_sizes
-            )
-            sets = self._location_sets(uploads, layout.n)
-            codec = self._codec(request.public_key, request.k)
-            columns = self._answer_columns(
-                layout.enumerate_candidates(sets), request.k, request.theta0, codec
-            )
             return self._two_phase_select(
-                columns, request.inner_indicator, request.outer_indicator, ledger
+                self._group_columns(request, uploads),
+                request.inner_indicator,
+                request.outer_indicator,
+                ledger,
             )
 
     # ----------------------------------------------------- two-phase select

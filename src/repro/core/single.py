@@ -20,7 +20,7 @@ from repro.core.common import (
 )
 from repro.core.config import PPGNNConfig
 from repro.core.lsp import LSPServer
-from repro.core.opt import optimal_omega, split_indicator_index
+from repro.core.plan import optimal_omega, split_indicator_index
 from repro.core.result import ProtocolResult
 from repro.crypto.homomorphic import encrypt_indicator
 from repro.encoding.answers import AnswerCodec

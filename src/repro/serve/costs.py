@@ -7,36 +7,29 @@ Measured wall time can never satisfy that, so the event clock advances by
 **predicted** service times instead — nominal per-operation costs times
 the exact homomorphic operation counts each protocol round performs.
 
-The operation counts mirror the runners precisely (the same arithmetic
-:mod:`repro.analysis.costmodel` uses for bytes):
-
-- PPGNN: a delta'-long indicator encryption, an ``m x delta'`` private
-  selection (Theorem 3.1), delta' per-candidate kGNN queries, and m
-  answer decryptions.
-- PPGNN-OPT: the two small indicators (inner at eps_1, outer at eps_2),
-  the padded per-block selections plus the omega-wide nested selection
-  at eps_2, and a nested (two-stage) answer decryption.
-- Naive: a delta-long indicator, an ``m x delta`` selection, delta kGNN
-  queries, and m decryptions.
+The counts come from the round's :class:`~repro.core.plan.RoundPlan`, the
+shape the runner executes and :mod:`repro.analysis.costmodel` prices in
+bytes: one encryption per indicator slot at the indicator's level, one
+decryption per answer integer and level, the scalar multiplications of
+each private-selection stage (Theorem 3.1; the two-phase count includes
+the zero-padded block columns), and one kGNN query per candidate.
 
 Nominal seconds are calibrated once for the 512-bit reference key and
 scale cubically with key size — modular exponentiation under an l-bit
 modulus costs Theta(l^3) with schoolbook arithmetic, which is what both
 CPython and the paper's GMP baseline effectively pay at these sizes.
-Operations at eps_2 work modulo N^3 instead of N^2 and are weighted by
-the same cube of the modulus-length ratio, i.e. ``(3/2)^3``.
+An operation at level s works modulo N^(s+1) instead of N^2 and is
+weighted by the same cube of the modulus-length ratio, ``((s+1)/2)^3``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.analysis.costmodel import _answer_integers
 from repro.core.config import PPGNNConfig
-from repro.core.opt import optimal_omega
+from repro.core.plan import RoundPlan
 from repro.errors import ConfigurationError
-from repro.partition.solver import solve_partition
 
 #: Key size the nominal per-op seconds are calibrated against.
 REFERENCE_KEYSIZE = 512
@@ -44,9 +37,14 @@ REFERENCE_KEYSIZE = 512
 #: Exponent of the keysize scaling law for modular-exponentiation work.
 _KEYSIZE_POWER = 3
 
-#: Weight of an eps_2 (s=2) operation relative to eps_1: the modulus grows
-#: from 2l to 3l bits, so modexp work grows by (3/2)^3.
-_LEVEL2_WEIGHT = (3 / 2) ** _KEYSIZE_POWER
+
+def _level_weight(s: int) -> float:
+    """Work of a level-s operation relative to eps_1.
+
+    The modulus grows from 2l to (s+1)l bits, so modexp work grows by
+    ``((s+1)/2)^3`` — 1 at eps_1, ``(3/2)^3`` at eps_2.
+    """
+    return ((s + 1) / 2) ** _KEYSIZE_POWER
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,45 +80,27 @@ class CostModel:
         Pure function of (protocol, n, config) — the determinism anchor of
         the serving engine's simulated clock.
         """
-        scale = self._scale(config.keysize)
+        plan = RoundPlan.for_protocol(protocol, n, config)
         m = _answer_integers(config.keysize, config.k)
-        if protocol == "ppgnn":
-            delta_prime = solve_partition(n, config.d, config.delta).delta_prime
-            crypto = (
-                delta_prime * self.encryption_seconds
-                + m * self.decryption_seconds
-                + m * delta_prime * self.scalar_mul_seconds
-            )
-            kgnn = delta_prime * self.kgnn_seconds
-        elif protocol == "ppgnn-opt":
-            delta_prime = solve_partition(n, config.d, config.delta).delta_prime
-            omega = optimal_omega(delta_prime)
-            width = math.ceil(delta_prime / omega)
-            crypto = (
-                width * self.encryption_seconds
-                + omega * self.encryption_seconds * _LEVEL2_WEIGHT
-                + m * (self.decryption_seconds * _LEVEL2_WEIGHT + self.decryption_seconds)
-                + m * width * omega * self.scalar_mul_seconds
-                + m * omega * self.scalar_mul_seconds * _LEVEL2_WEIGHT
-            )
-            kgnn = delta_prime * self.kgnn_seconds
-        elif protocol == "naive":
-            crypto = (
-                config.delta * self.encryption_seconds
-                + m * self.decryption_seconds
-                + m * config.delta * self.scalar_mul_seconds
-            )
-            kgnn = config.delta * self.kgnn_seconds
-        else:
-            raise ConfigurationError(f"unknown protocol {protocol!r}")
-        return crypto * scale + kgnn
+        # Accumulated term by term, in the order the float sum is pinned.
+        crypto = 0.0
+        for length, s in plan.indicators:
+            crypto += length * self.encryption_seconds * _level_weight(s)
+        crypto += m * sum(
+            self.decryption_seconds * _level_weight(s)
+            for s in range(plan.answer_s, 0, -1)
+        )
+        for muls, s in plan.selection_muls(m):
+            crypto += muls * self.scalar_mul_seconds * _level_weight(s)
+        kgnn = plan.params.delta_prime * self.kgnn_seconds
+        return crypto * self._scale(config.keysize) + kgnn
 
     def predict_ops(
         self, protocol: str, n: int, config: PPGNNConfig
     ) -> dict[str, int]:
         """Exact per-round operation counts of one honest protocol round.
 
-        Same arithmetic as :meth:`predict_seconds`, but returning the raw
+        Same plan as :meth:`predict_seconds`, but returning the raw
         counts — the numbers a traced round's span attributes must match
         exactly (the observability acceptance check).  Only the counts
         that are a pure function of (protocol, n, config) are included:
@@ -129,27 +109,10 @@ class CostModel:
         indicator slots are zero depends on the placement draw), so they
         are deliberately absent rather than approximately present.
         """
+        plan = RoundPlan.for_protocol(protocol, n, config)
         m = _answer_integers(config.keysize, config.k)
-        if protocol == "ppgnn":
-            delta_prime = solve_partition(n, config.d, config.delta).delta_prime
-            return {
-                "encryptions": delta_prime,
-                "decryptions": m,
-                "kgnn_queries": delta_prime,
-            }
-        if protocol == "ppgnn-opt":
-            delta_prime = solve_partition(n, config.d, config.delta).delta_prime
-            omega = optimal_omega(delta_prime)
-            width = math.ceil(delta_prime / omega)
-            return {
-                "encryptions": width + omega,
-                "decryptions": 2 * m,
-                "kgnn_queries": delta_prime,
-            }
-        if protocol == "naive":
-            return {
-                "encryptions": config.delta,
-                "decryptions": m,
-                "kgnn_queries": config.delta,
-            }
-        raise ConfigurationError(f"unknown protocol {protocol!r}")
+        return {
+            "encryptions": sum(length for length, _ in plan.indicators),
+            "decryptions": plan.answer_s * m,
+            "kgnn_queries": plan.params.delta_prime,
+        }

@@ -17,14 +17,13 @@ timings.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 from repro.core.common import group_keypair
 from repro.core.config import PPGNNConfig
 from repro.core.lsp import LSPServer
-from repro.core.opt import optimal_omega
+from repro.core.plan import RoundPlan
 from repro.core.session import QuerySession
 from repro.crypto.noncepool import NoncePoolRegistry, PoolStats
 from repro.datasets.poi import POI
@@ -34,7 +33,6 @@ from repro.guard.guard import ProtocolGuard
 from repro.index.base import IndexCounters
 from repro.metrics.quality import estimate_brownout_quality
 from repro.obs import MetricsRegistry, MetricsSnapshot, Observability, Tracer
-from repro.partition.solver import solve_partition
 from repro.serve.cache import CacheStats, KnnLRUCache
 from repro.serve.workload import GroupProfile, QueryJob
 from repro.transport.channel import FaultyChannel
@@ -300,18 +298,9 @@ class BucketRunner:
 
     def _top_up_pool(self, job: QueryJob, config: PPGNNConfig, n: int) -> None:
         """Precompute exactly the factors the next round will spend."""
-        keypair = group_keypair(config)
-        if job.protocol == "naive":
-            self.registry.ensure(keypair.public_key, config.delta, s=1)
-            return
-        delta_prime = solve_partition(n, config.d, config.delta).delta_prime
-        if job.protocol == "ppgnn":
-            self.registry.ensure(keypair.public_key, delta_prime, s=1)
-        else:
-            omega = optimal_omega(delta_prime)
-            width = math.ceil(delta_prime / omega)
-            self.registry.ensure(keypair.public_key, width, s=1)
-            self.registry.ensure(keypair.public_key, omega, s=2)
+        public_key = group_keypair(config).public_key
+        for length, s in RoundPlan.for_protocol(job.protocol, n, config).indicators:
+            self.registry.ensure(public_key, length, s=s)
 
     # ------------------------------------------------------------ execution
 

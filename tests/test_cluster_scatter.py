@@ -16,6 +16,7 @@ import pytest
 from repro.cluster import ClusterConfig, ReplicaFault, ShardFaultPlan
 from repro.cluster.merge import ShardAnswer, merge_answers
 from repro.cluster.scatter import ClusterRunner
+from repro.core.common import group_keypair
 from repro.core.config import PPGNNConfig
 from repro.core.lsp import LSPServer
 from repro.core.session import QuerySession
@@ -28,6 +29,7 @@ from repro.errors import (
 )
 from repro.geometry.space import LocationSpace
 from repro.guard.checkpoint import checkpoint_scatter, restore_scatter
+from repro.serve import BucketRunner, RunnerOptions
 from repro.serve.workload import GroupProfile, QueryJob
 
 SAMPLES = 8
@@ -338,3 +340,21 @@ class TestScatterCheckpoint:
         incomplete = runner.begin(job)
         with pytest.raises(ProtocolError):
             runner.finish(incomplete, job, GROUP)
+
+
+class TestKeyOwnedPools:
+    def test_cluster_first_job_leaves_the_bucket_pool_key_owned(self):
+        """Scattered sessions pass the group secret key, as bucket sessions do.
+
+        Otherwise whether the shared pool refills on the half-width owner
+        path would depend on which kind of job reached it first.
+        """
+        runner = BucketRunner(
+            make_lsp(),
+            CONFIG,
+            RunnerOptions(cluster=ClusterConfig(shards=2, replicas=1)),
+        )
+        runner.run_job(make_job(), GROUP)
+        keypair = group_keypair(CONFIG)
+        pool = runner.registry.pool_for(keypair.public_key)
+        assert pool.secret_key is keypair.secret_key
